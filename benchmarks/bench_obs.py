@@ -6,10 +6,10 @@ Sections, each with a hard gate and a measurement:
   default no-op tracer, every pre-existing equality suite still holds,
   and turning tracing ON changes *observability only*, never math:
 
-  - hot path: ``pipelined_matmul`` under an active
+  - hot path: ``chunked_matmul`` under an active
     :class:`~repro.obs.trace.Tracer` is bit-identical to the untraced
-    run and to the sequential (depth-0) chunk oracle — the traced
-    twin consumes the RNG through the same fused per-chunk draws;
+    run and to the sequential per-chunk oracle — tracing runs the very
+    same grouped pass, spans around its stages;
   - sharded: a multi-core :class:`~repro.core.sharding.ShardedDPTC`
     matmul is bit-identical traced vs untraced;
   - serving: the canonical demo workload
@@ -46,14 +46,14 @@ import time
 import numpy as np
 
 from repro.core import DPTC, NoiseModel, ShardedDPTC
-from repro.core.hotpath import pipelined_matmul
+from repro.core.hotpath import chunk_bounds, chunked_matmul
 from repro.obs import Tracer, to_jsonl
 from repro.obs.demo import run_trace_workload, run_workload
 
 #: Headline noisy batched case for equality + overhead — the same
 #: attention-shaped stack ``bench_hotpath.py`` profiles, so the
 #: overhead ratio is measured on the shape the hot path is tuned for
-#: (per-chunk span cost amortizes over real per-chunk math).
+#: (per-group span cost amortizes over real per-group math).
 HEAD_BATCH = 64
 HEAD_M = 32
 HEAD_D = 64
@@ -68,7 +68,7 @@ DEMO_SEED = 0
 DEMO_REQUESTS = 12
 DEMO_BATCH = 4
 
-#: The stage spans every traced chunk must emit.
+#: The stage spans every traced group must emit.
 STAGES = ("stage.sample", "stage.encode", "stage.compute", "stage.detect")
 
 
@@ -84,18 +84,24 @@ def hotpath_equality() -> dict:
     core = DPTC(noise=NoiseModel.paper_default())
     a, b = _operands()
 
-    def run(depth: int) -> np.ndarray:
-        return pipelined_matmul(
-            core, a, b, np.random.default_rng(3),
-            chunk_size=HEAD_CHUNK, pipeline_depth=depth,
+    def run() -> np.ndarray:
+        return chunked_matmul(
+            core, a, b, np.random.default_rng(3), chunk_size=HEAD_CHUNK
         )
 
-    untraced = run(1)
-    oracle = run(0)
+    def per_chunk() -> np.ndarray:
+        stream = np.random.default_rng(3)
+        return np.concatenate([
+            core.matmul(a[start:stop], b[start:stop], rng=stream)
+            for start, stop in chunk_bounds(HEAD_BATCH, HEAD_CHUNK)
+        ])
+
+    untraced = run()
+    oracle = per_chunk()
     tracer = Tracer()
     with tracer.activate():
-        traced = run(1)
-        traced_oracle = run(0)
+        traced = run()
+        traced_oracle = per_chunk()
 
     sharded = ShardedDPTC(
         num_cores=2, noise=NoiseModel.paper_default(), chunk_size=HEAD_CHUNK
@@ -270,9 +276,8 @@ def traced_overhead(repeats: int = 5) -> dict:
     a, b = _operands()
 
     def run() -> np.ndarray:
-        return pipelined_matmul(
-            core, a, b, np.random.default_rng(3),
-            chunk_size=HEAD_CHUNK, pipeline_depth=0,
+        return chunked_matmul(
+            core, a, b, np.random.default_rng(3), chunk_size=HEAD_CHUNK
         )
 
     def best_of(fn) -> float:

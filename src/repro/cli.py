@@ -435,7 +435,6 @@ def _engine_overrides(args: argparse.Namespace) -> dict:
         "scheduler",
         "num_cores",
         "chunk_size",
-        "pipeline_depth",
         "seed",
     ):
         value = getattr(args, flag, None)
@@ -731,20 +730,19 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_hotpath_bench(args: argparse.Namespace) -> int:
-    """Engine hot-path profile: per-stage timings + pipelined throughput.
+    """Engine hot-path profile: per-stage timings + grouped-pass throughput.
 
-    Also asserts the invariant that makes pipelining safe: pipelined
-    execution is bit-identical to the sequential chunk schedule for
-    equal seeds (same draws, same order, reordered only in wall-clock).
+    Also asserts the chunking invariant: the grouped pass is
+    bit-identical to one engine call per chunk for equal seeds (same
+    draws, same order, same per-matrix arithmetic).
     """
     import json
     import time
-    from concurrent.futures import ThreadPoolExecutor
 
     import numpy as np
 
     from repro.core.dptc import DPTC
-    from repro.core.hotpath import pipelined_matmul, profile_stages
+    from repro.core.hotpath import chunk_bounds, chunked_matmul, profile_stages
     from repro.core.noise import NoiseModel
 
     if min(args.batch, args.m, args.d, args.n) < 1:
@@ -752,7 +750,6 @@ def cmd_hotpath_bench(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise SystemExit("hotpath-bench: --repeats must be >= 1")
     chunk = args.chunk_size if args.chunk_size is not None else max(1, args.batch // 4)
-    depth = args.pipeline_depth if args.pipeline_depth is not None else 1
     core = (
         DPTC() if args.noise == "off" else DPTC(noise=NoiseModel.paper_default())
     )
@@ -761,60 +758,48 @@ def cmd_hotpath_bench(args: argparse.Namespace) -> int:
     a = rng.uniform(-1.0, 1.0, (args.batch, args.m, args.d))
     b = rng.uniform(-1.0, 1.0, (args.batch, args.d, args.n))
 
+    def per_chunk() -> np.ndarray:
+        stream = np.random.default_rng(args.seed)
+        return np.concatenate([
+            core.matmul(a[start:stop], b[start:stop], rng=stream)
+            for start, stop in chunk_bounds(args.batch, chunk)
+        ])
+
+    def grouped() -> np.ndarray:
+        return chunked_matmul(
+            core, a, b, np.random.default_rng(args.seed), chunk_size=chunk
+        )
+
     stages = profile_stages(core, a, b, seed=args.seed, repeats=args.repeats)
-    sequential = pipelined_matmul(
-        core, a, b, np.random.default_rng(args.seed),
-        chunk_size=chunk, pipeline_depth=0,
-    )
-    with ThreadPoolExecutor(max_workers=1) as prefetch:
-        if tracer is None:
-            pipelined = pipelined_matmul(
-                core, a, b, np.random.default_rng(args.seed),
-                chunk_size=chunk, pipeline_depth=depth, prefetch=prefetch,
-            )
-        else:
-            # Trace only the correctness-check run: the timing loops
-            # below stay untraced so the reported numbers are clean.
-            with tracer.activate():
-                pipelined = pipelined_matmul(
-                    core, a, b, np.random.default_rng(args.seed),
-                    chunk_size=chunk, pipeline_depth=depth, prefetch=prefetch,
-                )
-        if not np.array_equal(sequential, pipelined):
-            raise SystemExit(
-                "hotpath-bench: pipelined result differs from sequential"
-            )
+    if tracer is None:
+        result = grouped()
+    else:
+        # Trace only the correctness-check run: the timing loops
+        # below stay untraced so the reported numbers are clean.
+        with tracer.activate():
+            result = grouped()
+    if not np.array_equal(per_chunk(), result):
+        raise SystemExit("hotpath-bench: grouped result differs from per-chunk calls")
 
-        def best_of(fn) -> float:
-            samples = []
-            for _ in range(args.repeats):
-                start = time.perf_counter()
-                fn()
-                samples.append(time.perf_counter() - start)
-            return min(samples)
+    def best_of(fn) -> float:
+        samples = []
+        for _ in range(args.repeats):
+            start = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - start)
+        return min(samples)
 
-        seq_s = best_of(
-            lambda: pipelined_matmul(
-                core, a, b, np.random.default_rng(args.seed),
-                chunk_size=chunk, pipeline_depth=0,
-            )
-        )
-        pipe_s = best_of(
-            lambda: pipelined_matmul(
-                core, a, b, np.random.default_rng(args.seed),
-                chunk_size=chunk, pipeline_depth=depth, prefetch=prefetch,
-            )
-        )
+    per_chunk_s = best_of(per_chunk)
+    grouped_s = best_of(grouped)
     flop = 2.0 * args.batch * args.m * args.d * args.n
     report = {
         "shape": {"batch": args.batch, "m": args.m, "d": args.d, "n": args.n},
         "chunk_size": chunk,
-        "pipeline_depth": depth,
         "noise": args.noise,
         "stage_seconds": stages,
-        "sequential_seconds": seq_s,
-        "pipelined_seconds": pipe_s,
-        "pipelined_speedup": seq_s / pipe_s,
+        "per_chunk_seconds": per_chunk_s,
+        "grouped_seconds": grouped_s,
+        "grouped_speedup": per_chunk_s / grouped_s,
         "throughput_gflops": flop / stages["total"] / 1e9,
         "bit_identical": True,
     }
@@ -831,14 +816,14 @@ def cmd_hotpath_bench(args: argparse.Namespace) -> int:
             title=(
                 f"hotpath-bench [{args.batch}x{args.m}x{args.d}]x"
                 f"[{args.batch}x{args.d}x{args.n}], chunk={chunk}, "
-                f"depth={depth}, noise={args.noise}"
+                f"noise={args.noise}"
             ),
         )
     )
     print(
         f"matmul throughput: {report['throughput_gflops']:.3f} GFLOP/s; "
-        f"pipelined {pipe_s * 1e6:.1f} us vs sequential {seq_s * 1e6:.1f} us "
-        f"({report['pipelined_speedup']:.2f}x); bit-identical: yes"
+        f"grouped {grouped_s * 1e6:.1f} us vs per-chunk {per_chunk_s * 1e6:.1f} us "
+        f"({report['grouped_speedup']:.2f}x); bit-identical: yes"
     )
     if args.out:
         from pathlib import Path
@@ -923,12 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--chunk-size", type=int, default=None,
-            help="hot-path pipelining chunk along the batch axis "
+            help="hot-path chunk along the batch axis "
             "(default: no chunking)",
-        )
-        p.add_argument(
-            "--pipeline-depth", type=int, default=None,
-            help="chunks the prefetch stage may run ahead (default 1)",
         )
         p.add_argument("--seed", type=int, default=None, help="(default 0)")
         p.add_argument(
@@ -999,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hotpath = sub.add_parser(
         "hotpath-bench",
-        help="engine hot-path profile (per-stage timings, pipelined speedup)",
+        help="engine hot-path profile (per-stage timings, grouped-pass speedup)",
     )
     p_hotpath.add_argument("--batch", type=int, default=64)
     p_hotpath.add_argument("--m", type=int, default=24)
@@ -1007,11 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hotpath.add_argument("--n", type=int, default=24)
     p_hotpath.add_argument(
         "--chunk-size", type=int, default=None,
-        help="stacks per pipeline chunk (default batch/4)",
-    )
-    p_hotpath.add_argument(
-        "--pipeline-depth", type=int, default=None,
-        help="chunks the prefetch stage may run ahead (default 1)",
+        help="stacks per chunk (default batch/4)",
     )
     p_hotpath.add_argument("--repeats", type=int, default=3)
     p_hotpath.add_argument("--seed", type=int, default=0)

@@ -10,9 +10,10 @@
   with digital partial-sum accumulation (the multi-core scaling axes
   of the accelerator), each core with its own RNG stream and
   calibration state, on a thread- or process-pool backend.
-* :mod:`repro.core.hotpath` — chunked, double-buffered pipelining of
-  the engine's SAMPLE/ENCODE/COMPUTE/DETECT stages (bit-identical to
-  sequential execution for equal seeds) plus the per-stage profiler.
+* :mod:`repro.core.hotpath` — chunked execution of the engine's
+  SAMPLE/ENCODE/COMPUTE/DETECT stages, one vectorised pass per group of
+  chunks (bit-identical to sequential per-chunk calls for equal seeds),
+  plus the per-stage profiler.
 * Noise and dispersion models of Sec. III-C, shared by the accuracy
   studies and the circuit-level validation.
 """
@@ -34,7 +35,7 @@ from repro.core.dptc import (
 )
 from repro.core.hotpath import (
     chunk_bounds,
-    pipelined_matmul,
+    chunked_matmul,
     profile_stages,
 )
 from repro.core.noise import (
@@ -64,11 +65,11 @@ __all__ = [
     "PreparedMatmul",
     "SHARD_AXES",
     "chunk_bounds",
+    "chunked_matmul",
     "contraction_slabs",
     "additive_correction",
     "channel_gains",
     "dispersion_error_reduction",
-    "pipelined_matmul",
     "profile_stages",
     "DPTCGeometry",
     "DPTCNoiseDraw",

@@ -83,8 +83,8 @@ class CalibratedDPTC(DPTC):
 
     The calibration is woven into the hot-path stage pair
     (:meth:`prepare_chunk` / :meth:`finish_chunk`) rather than wrapped
-    around :meth:`matmul`, so chunked/pipelined execution calibrates
-    each chunk exactly like the whole-batch call would.  The
+    around :meth:`matmul`, so chunked execution calibrates each chunk
+    exactly like the whole-batch call would.  The
     compensated operand has the same shape and the same zero set as the
     raw one (channel gains are finite and nonzero), so the sampling
     order and the all-zero short-circuit are untouched.
@@ -104,9 +104,12 @@ class CalibratedDPTC(DPTC):
         b: np.ndarray,
         rng: np.random.Generator | None = None,
         draw: DPTCNoiseDraw | None = None,
+        chunk_size: int | None = None,
     ) -> CalibratedPrepared | PreparedMatmul | None:
         if not self.noise.include_dispersion:
-            return super().prepare_chunk(a, b, rng=rng, draw=draw)
+            return super().prepare_chunk(
+                a, b, rng=rng, draw=draw, chunk_size=chunk_size
+            )
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         d = a.shape[-1]
@@ -114,7 +117,9 @@ class CalibratedDPTC(DPTC):
         # Pre-compensate operand B so the analog multiplicative factor
         # cancels; the uncalibrated engine then runs as-is.
         b_comp = b * gains[:, None]
-        inner = super().prepare_chunk(a, b_comp, rng=rng, draw=draw)
+        inner = super().prepare_chunk(
+            a, b_comp, rng=rng, draw=draw, chunk_size=chunk_size
+        )
         if inner is None:
             # All-zero short-circuit: the correction below would be
             # fully masked to zero anyway, so zeros are the answer.

@@ -26,18 +26,20 @@ per-matrix Python loop of the original engine is preserved verbatim as
 vectorised path stay measurable.
 
 **Hot-path staging.**  A noisy matmul is four stages — SAMPLE (the
-fused RNG draw of :meth:`DPTC.sample_noise`), ENCODE (per-matrix
+RNG draw of :meth:`DPTC.sample_noise`), ENCODE (per-matrix
 normalisation, magnitude factors, and the trig operand products),
 COMPUTE (the two exact matmuls plus the additive dispersion terms) and
 DETECT (systematic factors, ``beta`` rescaling, zero masking).  The
 pair :meth:`DPTC.prepare_chunk` / :meth:`DPTC.finish_chunk` exposes
 that split — ``finish_chunk(prepare_chunk(a, b, rng))`` *is*
 ``matmul(a, b, rng=rng)``, bit for bit, because :meth:`DPTC.matmul`
-itself is implemented on top of the pair.  The split is what
-:mod:`repro.core.hotpath` pipelines: SAMPLE+ENCODE of batch chunk
-``k+1`` runs on a prefetch thread while COMPUTE+DETECT of chunk ``k``
-occupies the caller, reordering the stages in wall-clock time without
-touching the documented RNG sampling order.
+itself is implemented on top of the pair — and emits one
+``stage.*`` span per stage when a tracer is active.  Given a
+``chunk_size``, the pair runs a group of consecutive batch chunks in
+one vectorised pass: the draw is what one call per chunk would
+consume, in the same order, laid out on a leading chunk axis
+(:func:`group_shapes`).  :mod:`repro.core.hotpath` builds the chunked
+engine from such groups.
 
 The per-contraction-length dispersion factor cache is a small LRU
 (:data:`CHANNEL_CACHE_SIZE` entries): long-lived serving engines see
@@ -55,6 +57,7 @@ import numpy as np
 
 from repro.core.dispersion import DispersionProfile, dispersion_profile
 from repro.core.noise import NoiseModel
+from repro.obs.trace import current_tracer
 from repro.optics.wdm import WDMGrid
 
 
@@ -160,13 +163,13 @@ class DPTCNoiseDraw:
 
 @dataclass
 class PreparedMatmul:
-    """SAMPLE+ENCODE output of one (chunk of a) noisy matmul.
+    """SAMPLE+ENCODE output of one noisy matmul (or group of chunks).
 
     Everything COMPUTE+DETECT needs, produced by
     :meth:`DPTC.prepare_chunk` and consumed exactly once by
-    :meth:`DPTC.finish_chunk`.  Holding one of these per in-flight
-    pipeline chunk is what lets the hot path overlap stages in
-    wall-clock time without reordering any floating-point operation.
+    :meth:`DPTC.finish_chunk`.  A group of ``chunks`` chunks holds its
+    arrays with a leading chunk axis; ``out_shape`` is the result's
+    shape in the caller's batch layout.
     """
 
     out_shape: tuple[int, ...]
@@ -180,6 +183,60 @@ class PreparedMatmul:
     b_sin: np.ndarray
     row_term: np.ndarray
     col_term: np.ndarray
+    chunks: int = 1
+
+
+def carries_batch_axis(shape: tuple[int, ...], batch_rank: int) -> bool:
+    """Whether an operand of ``shape`` is split with the leading batch axis.
+
+    Only an operand with the full batch rank and a leading size above 1
+    is; any other one (a shared 2-D weight, a size-1 leading axis) is
+    broadcast, whole, to every chunk of the batch.
+    """
+    return len(shape) - 2 == batch_rank and shape[0] > 1
+
+
+def group_shapes(
+    a_shape: tuple[int, ...], b_shape: tuple[int, ...], chunk_size: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``(G, a, b, out)`` shapes of a matmul cut into ``G`` equal chunks.
+
+    The leading batch axis becomes ``[G, chunk_size]``.  A broadcast
+    operand (see :func:`carries_batch_axis`) gets size-1 axes in front
+    instead.
+    """
+    out_shape = DPTC._broadcast_out_shape(a_shape, b_shape)
+    batch_rank = len(out_shape) - 2
+    if not batch_rank or chunk_size < 1 or out_shape[0] % chunk_size:
+        raise ValueError(
+            f"batch {out_shape[:-2]} does not split into chunks of {chunk_size}"
+        )
+    groups = out_shape[0] // chunk_size
+
+    def grouped(shape: tuple[int, ...]) -> tuple[int, ...]:
+        if carries_batch_axis(shape, batch_rank):
+            return (groups, chunk_size) + shape[1:]
+        return (1,) * (batch_rank + 3 - len(shape)) + shape
+
+    return (
+        groups,
+        grouped(tuple(a_shape)),
+        grouped(tuple(b_shape)),
+        (groups, chunk_size) + out_shape[1:],
+    )
+
+
+def _chunk_any(beta: np.ndarray) -> np.ndarray:
+    """Per chunk of a grouped operand: is any of its matrices nonzero?"""
+    return beta.reshape(len(beta), -1).any(axis=1)
+
+
+def _scale(x: np.ndarray, factor: np.ndarray | float) -> np.ndarray:
+    """``x * factor``, in place unless ``factor`` broadcasts ``x`` wider."""
+    if np.shape(factor) in ((), x.shape):
+        x *= factor
+        return x
+    return x * factor
 
 
 #: Entries kept in the per-contraction-length dispersion factor cache.
@@ -264,34 +321,49 @@ class DPTC:
         a_shape: tuple[int, ...],
         b_shape: tuple[int, ...],
         rng: np.random.Generator,
+        chunk_size: int | None = None,
     ) -> DPTCNoiseDraw:
         """Draw every stochastic factor for one (batched) matmul.
 
         The sampling order is fixed — magnitude A, magnitude B, phase A,
-        phase B, systematic — and each array is drawn in one vectorised
-        call, so the batched engine and the per-matrix reference loop
-        consume an identical RNG stream when handed the same generator.
+        phase B, systematic — so the batched engine and the per-matrix
+        reference loop consume an identical RNG stream when handed the
+        same generator.  A disabled term draws nothing.
+
+        With ``chunk_size`` the leading batch axis is cut into
+        consecutive chunks of that many stacks, and the draw is exactly
+        what one call per chunk would consume: chunk after chunk, each
+        in the order above.  Every factor then carries a leading chunk
+        axis (see :func:`group_shapes`): ``[G, c, ...]`` for an operand
+        that carries the batch axis, ``[G, 1, ..., d, n]`` for a
+        broadcast one (a shared weight is encoded once per chunk).
         """
         a_shape = tuple(a_shape)
         b_shape = tuple(b_shape)
-        out_shape = self._broadcast_out_shape(a_shape, b_shape)
+        if chunk_size is None:
+            groups = 1
+            shapes = (a_shape, b_shape, self._broadcast_out_shape(a_shape, b_shape))
+        else:
+            groups, *grouped = group_shapes(a_shape, b_shape, chunk_size)
+            shapes = tuple(shape[1:] for shape in grouped)
+        a_chunk, b_chunk, out_chunk = shapes
         encoding = self.noise.encoding
-        # (shape, std, base) per draw; factors are base + std * N(0, 1).
+        # (per-chunk shape, std, base) per factor; factor = base + std * N(0, 1).
         segments = (
-            (a_shape, encoding.magnitude_std, 1.0),
-            (b_shape, encoding.magnitude_std, 1.0),
-            (a_shape, encoding.phase_std_rad, 0.0),
-            (b_shape, encoding.phase_std_rad, 0.0),
-            (out_shape, self.noise.systematic.std, 1.0),
+            (a_chunk, encoding.magnitude_std, 1.0),
+            (b_chunk, encoding.magnitude_std, 1.0),
+            (a_chunk, encoding.phase_std_rad, 0.0),
+            (b_chunk, encoding.phase_std_rad, 0.0),
+            (out_chunk, self.noise.systematic.std, 1.0),
         )
-        # One fused standard-normal draw for all segments.  The PCG64
-        # stream is consumed value-by-value, so slicing one big draw is
-        # bit-identical to five sequential ``rng.normal`` calls — the
-        # documented sampling order is unchanged, just cheaper.  The
-        # magnitude pair and the phase pair each share a std, so each
-        # pair is scaled in one pass.
+        # One fused standard-normal draw, one row per chunk.  PCG64 is
+        # consumed value by value, so row k holding chunk k's factors
+        # back to back is bit-identical to drawing each chunk's factors
+        # with separate calls, chunk after chunk.  The magnitude pair
+        # and the phase pair each share a std, so each pair is scaled
+        # in one pass.
         total = sum(math.prod(shape) for shape, std, _ in segments if std > 0.0)
-        z = rng.standard_normal(total) if total else None
+        z = rng.standard_normal((groups, total)) if total else None
         values: list[np.ndarray | float] = []
         offset = 0
         for pair in (segments[0:2], segments[2:4], segments[4:5]):
@@ -300,14 +372,15 @@ class DPTC:
                 values.extend(base for _ in pair)
                 continue
             counts = [math.prod(shape) for shape, _, _ in pair]
-            block = z[offset : offset + sum(counts)]
+            block = z[:, offset : offset + sum(counts)]
             offset += sum(counts)
             block *= std
             if base != 0.0:
                 block += base
             lo = 0
             for (shape, _, _), count in zip(pair, counts):
-                values.append(block[lo : lo + count].reshape(shape))
+                factor = block[:, lo : lo + count].reshape((groups,) + shape)
+                values.append(factor if chunk_size is not None else factor[0])
                 lo += count
         return DPTCNoiseDraw(*values)
 
@@ -378,39 +451,15 @@ class DPTC:
             return np.zeros(out_shape)
         return self.finish_chunk(prepared)
 
-    def predraw(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        rng: np.random.Generator | None,
-    ) -> DPTCNoiseDraw | None:
-        """The draw ``matmul(a, b, rng=rng)`` would consume, pre-sampled.
-
-        ``None`` when the call would short-circuit without sampling: an
-        ideal engine, or an all-zero operand (the caller then fills
-        zeros).  Used by the process backend to ship *pre-drawn* noise
-        with shard jobs — the parent consumes the per-core stream in
-        exactly the order the worker would have, so results stay
-        bit-identical while the hot path stops pickling generators.
-        """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if self.noise.is_ideal:
-            return None
-        if not np.abs(a).any() or not np.abs(b).any():
-            return None
-        if rng is None:
-            rng = np.random.default_rng()
-        return self.sample_noise(a.shape, b.shape, rng)
-
     def prepare_chunk(
         self,
         a: np.ndarray,
         b: np.ndarray,
         rng: np.random.Generator | None = None,
         draw: DPTCNoiseDraw | None = None,
+        chunk_size: int | None = None,
     ) -> PreparedMatmul | None:
-        """SAMPLE+ENCODE stages of one noisy matmul (or chunk thereof).
+        """SAMPLE+ENCODE stages of one noisy matmul (or group of chunks).
 
         Returns the :class:`PreparedMatmul` that :meth:`finish_chunk`
         turns into the result, or ``None`` when the draw-less all-zero
@@ -418,32 +467,61 @@ class DPTC:
         is untouched, exactly like :meth:`matmul`).  Requires a
         non-ideal noise model — the ideal path has no stages to split.
 
-        ``finish_chunk(prepare_chunk(a, b, rng=rng))`` is bit-identical
-        to ``matmul(a, b, rng=rng)`` by construction: ``matmul`` is
-        implemented on this very pair.
+        ``chunk_size`` runs consecutive chunks of the leading batch axis
+        as one vectorised group: ``finish_chunk(prepare_chunk(a, b, rng,
+        chunk_size=c))`` is bit-identical to concatenating
+        ``matmul(chunk, rng=rng)`` over the chunks, and leaves ``rng`` in
+        the same state.  It returns ``None`` without drawing if *any*
+        chunk short-circuits; the caller then runs the chunks one by one.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        out_shape = self._broadcast_out_shape(a.shape, b.shape)
+        a_shape, b_shape = a.shape, b.shape
+        out_shape = self._broadcast_out_shape(a_shape, b_shape)
+        groups = 1
+        if chunk_size is not None:
+            groups, a_grouped, b_grouped, _ = group_shapes(a_shape, b_shape, chunk_size)
+            a = a.reshape(a_grouped)
+            b = b.reshape(b_grouped)
 
         # Per-matrix normalisation: each [m, d] / [d, n] slice of the
         # stack gets its own beta (all-zero slices are masked at the end).
         beta_a = np.max(np.abs(a), axis=(-2, -1), keepdims=True)
         beta_b = np.max(np.abs(b), axis=(-2, -1), keepdims=True)
+        tracer = current_tracer()
         if draw is None:
-            if not beta_a.any() or not beta_b.any():
-                # An all-zero operand short-circuits before any noise is
-                # sampled, like the reference loop's per-matrix early
-                # return — the shared RNG stream stays aligned.
+            # An all-zero operand short-circuits before any noise is
+            # sampled, like the reference loop's per-matrix early
+            # return — the shared RNG stream stays aligned.
+            if chunk_size is None:
+                live = beta_a.any() and beta_b.any()
+            else:
+                live = (_chunk_any(beta_a) & _chunk_any(beta_b)).all()
+            if not live:
                 return None
             if rng is None:
                 rng = np.random.default_rng()
-            draw = self.sample_noise(a.shape, b.shape, rng)
+            with tracer.span("stage.sample", chunks=groups):
+                draw = self.sample_noise(a_shape, b_shape, rng, chunk_size)
+        with tracer.span("stage.encode", chunks=groups):
+            return self._encode(a, b, beta_a, beta_b, draw, out_shape, groups)
+
+    def _encode(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        beta_a: np.ndarray,
+        beta_b: np.ndarray,
+        draw: DPTCNoiseDraw,
+        out_shape: tuple[int, ...],
+        chunks: int,
+    ) -> PreparedMatmul:
+        """ENCODE: normalise, apply the draw, build the trig operands."""
         has_zero = bool((beta_a == 0.0).any() or (beta_b == 0.0).any())
         a_hat = a / (np.where(beta_a == 0.0, 1.0, beta_a) if has_zero else beta_a)
         b_hat = b / (np.where(beta_b == 0.0, 1.0, beta_b) if has_zero else beta_b)
-        a_hat *= draw.magnitude_a
-        b_hat *= draw.magnitude_b
+        a_hat = _scale(a_hat, draw.magnitude_a)
+        b_hat = _scale(b_hat, draw.magnitude_b)
 
         d = a.shape[-1]
         kappa, phase_deviation, two_tk = self._channel_factors(d)
@@ -467,7 +545,7 @@ class DPTC:
         if cos_b.shape == b_hat.shape:
             b_cos = np.multiply(b_hat, cos_b, out=cos_b)
             b_sin = np.multiply(b_hat, sin_b, out=sin_b)
-        else:  # scalar phase drift: angle is the [d, 1] channel profile
+        else:  # shapes differ: a scalar draw term broadcasts
             b_cos = b_hat * cos_b
             b_sin = b_hat * sin_b
         if isinstance(draw.phase_a, np.ndarray):
@@ -490,6 +568,7 @@ class DPTC:
             b_sin=b_sin,
             row_term=row_term,
             col_term=col_term,
+            chunks=chunks,
         )
 
     def compute_chunk(self, prepared: PreparedMatmul) -> np.ndarray:
@@ -510,7 +589,8 @@ class DPTC:
         """DETECT stage: systematic factors, beta rescale, zero masking.
 
         Consumes ``out`` (in-place scaling) — pass a fresh
-        :meth:`compute_chunk` result, or a copy when profiling.
+        :meth:`compute_chunk` result, or a copy when profiling.  A
+        grouped chunk's result comes back in the caller's batch layout.
         """
         out *= prepared.systematic
         out *= prepared.beta_a * prepared.beta_b
@@ -518,11 +598,15 @@ class DPTC:
             out = np.where(
                 (prepared.beta_a == 0.0) | (prepared.beta_b == 0.0), 0.0, out
             )
-        return out
+        return out.reshape(prepared.out_shape)
 
     def finish_chunk(self, prepared: PreparedMatmul) -> np.ndarray:
         """COMPUTE+DETECT stages: turn a prepared chunk into its result."""
-        return self.detect_chunk(prepared, self.compute_chunk(prepared))
+        tracer = current_tracer()
+        with tracer.span("stage.compute", chunks=prepared.chunks):
+            out = self.compute_chunk(prepared)
+        with tracer.span("stage.detect", chunks=prepared.chunks):
+            return self.detect_chunk(prepared, out)
 
     def matmul_reference(
         self,

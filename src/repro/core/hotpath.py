@@ -1,40 +1,40 @@
-"""Engine hot-path pipelining: chunked, double-buffered noisy matmuls.
+"""Engine hot path: chunked noisy matmuls, one vectorised pass per group.
 
 Every layer above the engine — serving, continuous batching, the
 cluster — ultimately divides its throughput by the latency of one
-noisy :meth:`~repro.core.dptc.DPTC.matmul`.  The paper's dataflow
-(Sec. III-B/IV) overlaps operand encoding with crossbar compute in
-hardware; this module does the software equivalent for the functional
-engine:
+noisy :meth:`~repro.core.dptc.DPTC.matmul`, and in the functional
+engine SAMPLE and ENCODE (fresh magnitude and phase noise for both
+operands of every shot, Sec. III-B/III-C) dominate that latency.
 
 * :func:`chunk_bounds` splits the leading batch axis into contiguous
   chunks of at most ``chunk_size`` stacks;
-* :func:`pipelined_matmul` runs the chunk schedule with a one-deep (or
-  deeper) prefetch stage: SAMPLE+ENCODE of chunk ``k+1`` executes on a
-  prefetch thread while COMPUTE+DETECT of chunk ``k`` occupies the
-  caller (numpy releases the GIL inside both the RNG fill and the
-  matmul kernels, so the stages genuinely overlap on multi-CPU hosts).
+* :func:`chunked_matmul` runs those chunks as a few *groups* of
+  consecutive chunks.  Each group is one pass of the
+  :class:`~repro.core.dptc.DPTC` stage pair with ``chunk_size`` set:
+  SAMPLE draws the group's noise in one call, one row per chunk, then
+  ENCODE, COMPUTE and DETECT each run once over the whole group, chunks
+  on a leading axis.  A group holds at most :data:`GROUP_ELEMENTS` elements per
+  operand array, so large shapes stay cache-resident; a ragged tail
+  chunk is a group of its own.
 
-**The bit-equality contract.**  Chunked execution consumes the RNG in
-per-chunk fused draws, chunks in batch order — which is *exactly* the
-stream a sequence of unchunked engine calls on the chunk slices would
-consume.  The oracle::
+**The bit-equality contract.**  The oracle::
 
     np.concatenate([core.matmul(a[s:e], b[s:e], rng=rng) for s, e in bounds])
 
-is bit-identical to ``pipelined_matmul(core, a, b, rng=rng, ...)`` for
-every ``pipeline_depth`` (0 = no overlap, same schedule) and every
-backend, because pipelining only reorders the stages in *wall-clock*
-time — the draws, their order, and every floating-point operation are
-unchanged.  With a single chunk (``chunk_size >= batch``) the schedule
-degenerates to the plain whole-batch call, bit for bit.
+is bit-identical to ``chunked_matmul(core, a, b, rng=rng,
+chunk_size=c)``, and leaves ``rng`` in the same state: each chunk draws
+what its own call would (magnitude A, magnitude B, phase A, phase B,
+systematic), chunks in batch order, and every floating-point operation
+is the per-matrix operation of the oracle.  An all-zero chunk draws
+nothing and yields zeros.  With a single chunk (``chunk_size >=
+batch``) the pass is the plain whole-batch call, bit for bit.
 
 **Shared-memory transport.**  :func:`pack_arrays` / :func:`unpack_spec`
-move process-backend shard operands (and pre-drawn noise) through one
+move process-backend shard operands through one
 ``multiprocessing.shared_memory`` segment per call instead of pickling
-every array into the job queue — the other half of ROADMAP's hot-path
-item.  Workers attach read-only-by-convention views and never return
-memory that aliases the segment.
+every array into the job queue.  Workers attach
+read-only-by-convention views and never return memory that aliases
+the segment.
 
 :func:`profile_stages` times the four stages (sample / encode /
 compute / detect) separately for the ``BENCH_hotpath.json`` breakdown
@@ -43,20 +43,23 @@ and the ``repro hotpath-bench`` CLI verb.
 
 from __future__ import annotations
 
-import threading
+import math
 import time
-from collections import deque
-from concurrent.futures import CancelledError, Executor
 
 import numpy as np
 
-from repro.core.dptc import DPTC
+from repro.core.dptc import DPTC, carries_batch_axis
 from repro.obs.trace import current_tracer
 
 try:  # pragma: no cover - absent only on exotic builds
     from multiprocessing import shared_memory
 except ImportError:  # pragma: no cover
     shared_memory = None
+
+#: Working-set cap of one vectorised group: consecutive chunks join a
+#: group while each operand array (and so its noise) stays within this
+#: many elements; a group holds at least one chunk.
+GROUP_ELEMENTS = 32 * 1024
 
 
 def chunk_bounds(batch: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -68,7 +71,7 @@ def chunk_bounds(batch: int, chunk_size: int) -> list[tuple[int, int]]:
     """
     if batch < 0:
         raise ValueError(f"batch must be >= 0, got {batch}")
-    if chunk_size < 1:
+    if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     return [
         (start, min(start + chunk_size, batch))
@@ -82,217 +85,109 @@ def slice_batch_operand(
     """The ``[start, stop)`` batch rows of one operand, or the whole.
 
     An operand participates in the chunk split only when it actually
-    carries the leading batch axis (full batch rank, size > 1);
+    carries the leading batch axis (:func:`carries_batch_axis`);
     broadcast operands — a shared 2-D weight, a size-1 leading axis —
     pass whole, so each chunk encodes them once, exactly like the
     sequential per-chunk oracle would.
     """
-    if x.ndim - 2 == batch_rank and x.shape[0] > 1:
+    if carries_batch_axis(x.shape, batch_rank):
         return x[start:stop]
     return x
 
 
-def pipelined_matmul(
+def _chunk_elements(shape: tuple[int, ...], batch_rank: int, chunk_size: int) -> int:
+    """Elements one chunk adds to a group array of this operand."""
+    if carries_batch_axis(shape, batch_rank):
+        return chunk_size * math.prod(shape[1:])
+    return math.prod(shape)  # broadcast: its noise is drawn per chunk
+
+
+def chunked_matmul(
     core: DPTC,
     a: np.ndarray,
     b: np.ndarray,
     rng: np.random.Generator | None = None,
     *,
-    chunk_size: int,
-    pipeline_depth: int = 1,
-    prefetch: Executor | None = None,
+    chunk_size: int | None,
 ) -> np.ndarray:
-    """Chunked ``a @ b`` on ``core`` with an overlapped prefetch stage.
+    """Chunked ``a @ b`` on ``core``: one vectorised pass per chunk group.
 
     Args:
         core: the engine (any :class:`DPTC` subclass; calibrated cores
-            calibrate each chunk through their own stage pair).
+            calibrate each group through their own stage pair).
         a, b: stacked operands, as for :meth:`DPTC.matmul`.
         rng: noise stream; fresh unseeded generator if omitted.
-        chunk_size: max stacks per chunk along the leading batch axis.
-        pipeline_depth: chunks the prefetch stage may run ahead of
-            compute.  0 executes the same schedule strictly
-            sequentially (bit-identical — the unpipelined gate).
-        prefetch: a **single-worker** executor for the SAMPLE+ENCODE
-            stage.  Must be single-worker: the RNG stream is stateful
-            and chunk draws must land in batch order.  ``None`` forces
-            sequential execution regardless of ``pipeline_depth``.
+        chunk_size: stacks per chunk along the leading batch axis;
+            ``None`` runs the plain unchunked ``core.matmul``.
 
-    The prefetch stage degrades gracefully around shutdown: if the
-    executor is closed mid-flight (``ShardedDPTC.close`` from another
-    thread), remaining chunks are prepared inline on the calling
-    thread — same draws, same order, same result, no deadlock.
+    Bit-identical to the sequential per-chunk oracle (module
+    docstring).  Under an active tracer the call is one
+    ``hotpath.matmul`` span over the ``stage.*`` spans of its groups.
     """
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out_shape = DPTC._broadcast_out_shape(a.shape, b.shape)
     batch = out_shape[:-2]
-    if core.noise.is_ideal or not batch:
-        # Nothing to pipeline: the ideal path is a single exact matmul,
-        # and matrix operands have no batch axis to chunk.
-        return core.matmul(a, b, rng=rng)
-    bounds = chunk_bounds(batch[0], chunk_size)
-    if len(bounds) <= 1:
+    if chunk_size is None or core.noise.is_ideal or not batch:
+        # Nothing to chunk: the ideal path is a single exact matmul,
+        # and matrix operands have no batch axis.
         return core.matmul(a, b, rng=rng)
     if rng is None:
         rng = np.random.default_rng()
-
     batch_rank = len(batch)
-    tracer = current_tracer()
-    if tracer.enabled:
-        return _pipelined_matmul_traced(
-            tracer, core, a, b, rng, bounds, batch_rank, out_shape,
-            pipeline_depth=pipeline_depth, prefetch=prefetch,
-        )
-
-    def prepare(k: int):
-        start, stop = bounds[k]
-        return core.prepare_chunk(
-            slice_batch_operand(a, batch_rank, start, stop),
-            slice_batch_operand(b, batch_rank, start, stop),
-            rng=rng,
-        )
-
-    def finish(k: int, prepared) -> np.ndarray:
-        if prepared is None:  # all-zero chunk: no draws were consumed
-            start, stop = bounds[k]
-            return np.zeros((stop - start,) + out_shape[1:])
-        return core.finish_chunk(prepared)
-
-    return _run_chunk_schedule(
-        bounds, prepare, finish, pipeline_depth=pipeline_depth,
-        prefetch=prefetch,
+    widest = max(
+        _chunk_elements(shape, batch_rank, chunk_size) for shape in (a.shape, b.shape)
     )
+    span = chunk_size * max(1, GROUP_ELEMENTS // max(widest, 1))
+    full = batch[0] - batch[0] % chunk_size
+    bounds = chunk_bounds(full, span)
+    if full < batch[0]:
+        bounds.append((full, batch[0]))  # the ragged tail: a group of its own
+
+    with current_tracer().span(
+        "hotpath.matmul", batch=batch[0], chunk_size=chunk_size, groups=len(bounds)
+    ):
+        parts = [
+            _run_group(
+                core, a, b, rng, batch_rank, start, stop, min(chunk_size, stop - start)
+            )
+            for start, stop in bounds
+        ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
-def _pipelined_matmul_traced(
-    tracer,
+def _run_group(
     core: DPTC,
     a: np.ndarray,
     b: np.ndarray,
     rng: np.random.Generator,
-    bounds: list[tuple[int, int]],
     batch_rank: int,
-    out_shape: tuple[int, ...],
-    *,
-    pipeline_depth: int,
-    prefetch: Executor | None,
+    start: int,
+    stop: int,
+    chunk_size: int,
 ) -> np.ndarray:
-    """The traced chunk schedule: per-stage spans, bit-identical math.
+    """The chunks in ``[start, stop)``, computed in one pass.
 
-    SAMPLE is timed through :meth:`DPTC.predraw` and ENCODE through
-    :meth:`DPTC.prepare_chunk` with that pre-sampled draw — the exact
-    RNG consumption and arithmetic of ``prepare_chunk(rng=rng)``, just
-    observable as two stages.  COMPUTE/DETECT likewise split
-    :meth:`DPTC.finish_chunk` into its two public stage calls.  Stage
-    spans parent under one ``hotpath.matmul`` span (captured on the
-    caller thread, passed explicitly — prefetch threads have no ambient
-    context) and carry a ``prefetch`` attribute marking which SAMPLE+
-    ENCODE pairs genuinely overlapped compute on the prefetch worker.
+    A group with an all-zero chunk draws nothing (the stage pair
+    returns ``None``); its chunks then run one by one, so only the
+    zero chunk skips its draw — exactly as in the per-chunk oracle.
     """
-    caller_ident = threading.get_ident()
-    span = tracer.start_span(
-        "hotpath.matmul",
-        batch=bounds[-1][1],
-        chunks=len(bounds),
-        pipeline_depth=pipeline_depth if prefetch is not None else 0,
+    a_group = slice_batch_operand(a, batch_rank, start, stop)
+    b_group = slice_batch_operand(b, batch_rank, start, stop)
+    prepared = core.prepare_chunk(a_group, b_group, rng=rng, chunk_size=chunk_size)
+    if prepared is not None:
+        return core.finish_chunk(prepared)
+    if stop - start == chunk_size:
+        return np.zeros(DPTC._broadcast_out_shape(a_group.shape, b_group.shape))
+    return np.concatenate(
+        [
+            _run_group(core, a, b, rng, batch_rank, first, first + chunk_size, chunk_size)
+            for first in range(start, stop, chunk_size)
+        ],
+        axis=0,
     )
-
-    def prepare(k: int):
-        start, stop = bounds[k]
-        a_k = slice_batch_operand(a, batch_rank, start, stop)
-        b_k = slice_batch_operand(b, batch_rank, start, stop)
-        overlapped = threading.get_ident() != caller_ident
-        with tracer.span(
-            "stage.sample", parent=span, chunk=k, prefetch=overlapped
-        ):
-            draw = core.predraw(a_k, b_k, rng)
-        if draw is None:  # all-zero chunk: no draws were consumed
-            return None
-        with tracer.span(
-            "stage.encode", parent=span, chunk=k, prefetch=overlapped
-        ):
-            return core.prepare_chunk(a_k, b_k, draw=draw)
-
-    def finish(k: int, prepared) -> np.ndarray:
-        if prepared is None:
-            start, stop = bounds[k]
-            return np.zeros((stop - start,) + out_shape[1:])
-        with tracer.span("stage.compute", parent=span, chunk=k):
-            raw = core.compute_chunk(prepared)
-        with tracer.span("stage.detect", parent=span, chunk=k):
-            return core.detect_chunk(prepared, raw)
-
-    try:
-        return _run_chunk_schedule(
-            bounds, prepare, finish, pipeline_depth=pipeline_depth,
-            prefetch=prefetch,
-        )
-    finally:
-        tracer.end(span)
-
-
-def _run_chunk_schedule(
-    bounds: list[tuple[int, int]],
-    prepare,
-    finish,
-    *,
-    pipeline_depth: int,
-    prefetch: Executor | None,
-) -> np.ndarray:
-    """Run the chunk schedule (sequential or prefetch-overlapped)."""
-    n = len(bounds)
-    results: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    if pipeline_depth < 1 or prefetch is None:
-        for k in range(n):
-            results[k] = finish(k, prepare(k))
-        return np.concatenate(results, axis=0)
-
-    # Overlapped schedule: keep up to `pipeline_depth` prepare futures
-    # in flight on the single prefetch worker (FIFO, so the stream is
-    # consumed in chunk order), finishing chunks on this thread as
-    # their preparation lands.
-    pending: deque = deque()
-    submitted = 0
-    inline = False  # prefetch executor gone: prepare on this thread
-
-    def submit_next() -> None:
-        nonlocal submitted, inline
-        if inline or submitted >= n:
-            return
-        try:
-            pending.append(prefetch.submit(prepare, submitted))
-        except RuntimeError:
-            # Executor shut down mid-flight (close-while-busy): the
-            # remaining chunks fall back to inline preparation.
-            inline = True
-        else:
-            submitted += 1
-
-    for _ in range(min(pipeline_depth, n)):
-        submit_next()
-    for k in range(n):
-        if k < submitted:
-            future = pending.popleft()
-            try:
-                prepared = future.result()
-            except CancelledError:
-                # The single FIFO worker never started this prepare, so
-                # nothing behind it ran either: the stream is positioned
-                # exactly at chunk k.  Drop the dead queue and continue
-                # inline, in order.
-                for stale in pending:
-                    stale.cancel()
-                pending.clear()
-                submitted = k
-                inline = True
-                prepared = prepare(k)
-            else:
-                submit_next()
-        else:
-            prepared = prepare(k)
-        results[k] = finish(k, prepared)
-    return np.concatenate(results, axis=0)
 
 
 # -- shared-memory transport (process backend) ----------------------------

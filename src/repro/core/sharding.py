@@ -51,33 +51,25 @@ hardware.
 ProcessPoolExecutor` for true parallelism on multi-CPU hosts: the
 per-core constructor arguments are pickled once per worker (pool
 initializer) and workers rebuild their :class:`DPTC` replicas
-deterministically on first use.  The hot path ships **no generators
-and no pickled operands**: the parent pre-draws each job's noise from
-the per-core stream (:meth:`DPTC.predraw`, consumed in exactly the
-order the worker would have) and packs operands plus draw arrays into
-one ``multiprocessing.shared_memory`` segment per call
-(:mod:`repro.core.hotpath`), so jobs carry only names, offsets and
-shapes.  Thread, process, and sequential execution of the same seed
-are therefore bit-equal and independent of scheduling.  The pool uses
-the ``spawn`` start method, which behaves identically on every
-platform and never forks a threaded parent.  Results are reassembled
-in shard (core) order, so the output never depends on the backend or
-schedule.
+deterministically on first use.  Each call ships one job per core:
+the operands travel through one ``multiprocessing.shared_memory``
+segment (:mod:`repro.core.hotpath`), and the core's spawned
+``Generator`` rides along pickled (about half a kilobyte), so the
+worker continues exactly the stream the thread backend would consume.
+Thread, process, and sequential execution of the same seed are
+therefore bit-equal and independent of scheduling.  The pool uses the
+``spawn`` start method, which behaves identically on every platform
+and never forks a threaded parent.  Results are reassembled in shard
+(core) order, so the output never depends on the backend or schedule.
 
-**Chunked pipelining.**  ``chunk_size=c`` splits every per-core shard
-into chunks of at most ``c`` stacks along the leading batch axis and
-executes them through :func:`repro.core.hotpath.pipelined_matmul`:
-with ``pipeline_depth >= 1`` (thread backend) each core's SAMPLE +
-ENCODE stage for chunk ``k+1`` runs on a dedicated single-worker
-prefetch thread while COMPUTE + DETECT of chunk ``k`` occupies the
-core's pool thread; on the process backend the parent plays the
-prefetch stage — it pre-draws every chunk's noise while the workers
-chew through ENCODE+COMPUTE+DETECT.  Chunked execution consumes the
-RNG in per-chunk fused draws, chunks in batch order, which is exactly
-the stream sequential per-chunk engine calls would consume — so for
-equal seeds pipelined == unpipelined == sequential, bit for bit,
-across backends and shard axes.  ``chunk_size=None`` (default) keeps
-the whole-batch draw order of the unchunked engine.
+**Chunked execution.**  ``chunk_size=c`` runs every per-core shard
+through :func:`repro.core.hotpath.chunked_matmul`: chunks of at most
+``c`` stacks along the leading batch axis, computed as a few
+vectorised groups of consecutive chunks on the core's own thread (or
+worker).  It consumes the RNG exactly like sequential per-chunk engine
+calls, chunks in batch order, so for equal seeds the result is
+bit-identical across backends and shard axes.  ``chunk_size=None``
+(default) keeps the whole-batch draw order of the unchunked engine.
 """
 
 from __future__ import annotations
@@ -88,12 +80,11 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.dptc import DPTC, DPTCGeometry, DPTCNoiseDraw
+from repro.core.dptc import DPTC, DPTCGeometry
 from repro.core.hotpath import (
     attach_segment,
-    chunk_bounds,
+    chunked_matmul,
     pack_arrays,
-    pipelined_matmul,
     release_segment,
     slice_batch_operand,
     unpack_spec,
@@ -187,7 +178,7 @@ class DigitalAccumulator:
 # Each worker process rebuilds its DPTC replicas from constructor
 # arguments shipped once via the pool initializer (pickled once per
 # worker).  Construction is deterministic, and every job carries the
-# core index plus that core's *pre-drawn* noise (or none, on the ideal
+# core index plus that core's spawned generator (``None`` on the ideal
 # path), so results depend only on (seed, core index, operands) — never
 # on which worker happens to execute which core.
 
@@ -207,11 +198,10 @@ def _process_worker_init(
 
 
 def _resolve_ref(segment, ref):
-    """An operand/draw component from its job reference.
+    """An operand from its job reference.
 
     Specs (``(offset, shape, dtype)`` tuples) resolve to views of the
-    shared segment; plain floats and ndarrays (the inline-pickle
-    fallback) pass through unchanged.
+    shared segment; ndarrays (the inline-pickle fallback) pass through.
     """
     if isinstance(ref, tuple):
         return unpack_spec(segment, ref)
@@ -219,16 +209,13 @@ def _resolve_ref(segment, ref):
 
 
 def _process_worker_run(job: tuple) -> np.ndarray:
-    """Execute one ``(shm_name, core_index, a_ref, b_ref, draw_refs)`` job.
+    """Execute one ``(shm_name, core_index, a_ref, b_ref, stream, chunk_size)`` job.
 
-    ``draw_refs`` is ``None`` only on the ideal path (exact matmul, no
-    noise to draw); noisy jobs always carry the parent's pre-drawn
-    realisation, so workers never touch an RNG.  Shared segments are
-    attached per job and released before returning — the engine's
-    matmul never returns memory aliasing its inputs, so the result
-    survives the detach.
+    The shared segment is attached per job and released before
+    returning — the engine never returns memory aliasing its inputs, so
+    the result survives the detach.
     """
-    shm_name, core_index, a_ref, b_ref, draw_refs = job
+    shm_name, core_index, a_ref, b_ref, stream, chunk_size = job
     core = _WORKER_CORES.get(core_index)
     if core is None:
         if _WORKER_FACTORY is None:
@@ -240,10 +227,7 @@ def _process_worker_run(job: tuple) -> np.ndarray:
     try:
         a = _resolve_ref(segment, a_ref)
         b = _resolve_ref(segment, b_ref)
-        if draw_refs is None:
-            return core.matmul(a, b)
-        draw = DPTCNoiseDraw(*(_resolve_ref(segment, ref) for ref in draw_refs))
-        return core.matmul(a, b, draw=draw)
+        return chunked_matmul(core, a, b, stream, chunk_size=chunk_size)
     finally:
         if segment is not None:
             release_segment(segment)
@@ -271,18 +255,10 @@ class ShardedDPTC:
             products are digitally accumulated in core order.
         backend: ``"thread"`` (default) or ``"process"``; see the
             module docstring.  Bit-equal for equal seeds.
-        chunk_size: when set, split each core's shard into chunks of at
-            most this many stacks along the leading batch axis and
-            pipeline them (see the module docstring); ``None`` keeps
-            the unchunked whole-shard draw order.
-        pipeline_depth: chunks the prefetch stage may run ahead of
-            compute (thread backend; the process backend's parent-side
-            predraw is inherently ahead).  0 runs the chunk schedule
-            strictly sequentially — bit-identical, no overlap.
-        shared_memory: ship process-backend operands and draws through
-            ``multiprocessing.shared_memory`` (default) instead of
-            pickling them into the job queue.  Results are bit-equal
-            either way; the flag exists as an escape hatch.
+        chunk_size: when set, run each core's shard in chunks of at
+            most this many stacks along the leading batch axis (see
+            the module docstring); ``None`` keeps the unchunked
+            whole-shard draw order.
     """
 
     def __init__(
@@ -296,8 +272,6 @@ class ShardedDPTC:
         shard_axis: str = "batch",
         backend: str = "thread",
         chunk_size: int | None = None,
-        pipeline_depth: int = 1,
-        shared_memory: bool = True,
     ) -> None:
         if num_cores < 1:
             raise ValueError(f"num_cores must be >= 1, got {num_cores}")
@@ -311,10 +285,6 @@ class ShardedDPTC:
             )
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1 or None, got {chunk_size}")
-        if pipeline_depth < 0:
-            raise ValueError(
-                f"pipeline_depth must be >= 0, got {pipeline_depth}"
-            )
         self.num_cores = num_cores
         self.shard_axis = shard_axis
         self.backend = backend
@@ -325,32 +295,16 @@ class ShardedDPTC:
         self.grid = self.cores[0].grid
         self.parallel = parallel
         self.chunk_size = chunk_size
-        self.pipeline_depth = pipeline_depth
-        self.shared_memory = shared_memory and _shm_module is not None
         self._pool: Executor | None = None
         self._finalizer: weakref.finalize | None = None
-        self._prefetch_pools: list[ThreadPoolExecutor | None] = [None] * num_cores
-        self._prefetch_finalizers: list[weakref.finalize] = []
 
     def close(self) -> None:
-        """Shut down every worker pool (idempotent; pools recreate lazily).
+        """Shut down the worker pool (idempotent; the pool recreates lazily).
 
-        Prefetch pools are drained *first*, then the main pool: an
-        in-flight core job that tries to prefetch after its pool closed
-        gets a ``RuntimeError`` from ``submit`` and falls back to
-        preparing chunks inline (same draws, same order), so a
-        close-while-busy never deadlocks and never changes results.
         Releases thread *and* process pools alike and detaches the
-        garbage-collection finalizers, so no executor outlives an
+        garbage-collection finalizer, so no executor outlives an
         explicitly closed engine.
         """
-        for index, pool in enumerate(self._prefetch_pools):
-            if pool is not None:
-                pool.shutdown(wait=True)
-                self._prefetch_pools[index] = None
-        for finalizer in self._prefetch_finalizers:
-            finalizer.detach()
-        self._prefetch_finalizers.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -377,25 +331,6 @@ class ShardedDPTC:
                 self, self._pool.shutdown, wait=False
             )
         return self._pool
-
-    def _prefetch(self, index: int) -> ThreadPoolExecutor:
-        """Core ``index``'s lazy single-worker SAMPLE+ENCODE stage.
-
-        Single-worker is load-bearing: the prefetch executor serialises
-        chunk preparations in submission (FIFO) order, which is what
-        keeps the stateful RNG stream consumed in batch order at any
-        ``pipeline_depth``.
-        """
-        pool = self._prefetch_pools[index]
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"dptc-prefetch-{index}"
-            )
-            self._prefetch_pools[index] = pool
-            self._prefetch_finalizers.append(
-                weakref.finalize(self, pool.shutdown, wait=False)
-            )
-        return pool
 
     def tile_matmul(
         self,
@@ -440,14 +375,9 @@ class ShardedDPTC:
         a: np.ndarray,
         b: np.ndarray,
         stream: np.random.Generator | None,
-        sequential: bool = False,
         trace: tuple | None = None,
     ) -> np.ndarray:
-        """One core's shard, chunk-pipelined when ``chunk_size`` is set.
-
-        ``sequential=True`` (the ``parallel=False`` engine) runs the
-        identical chunk schedule with no prefetch overlap — the
-        bit-equality oracle for the pipelined paths.
+        """One core's shard, chunked when ``chunk_size`` is set.
 
         ``trace`` is ``(tracer, parent_span)`` captured on the *caller*
         thread: this method may run on a pool thread where the ambient
@@ -460,25 +390,9 @@ class ShardedDPTC:
                 "shard.core", parent=parent, core=index
             ) as core_span:
                 with tracer.activate(core_span):
-                    return self._core_matmul(
-                        index, a, b, stream, sequential=sequential
-                    )
-        core = self.cores[index]
-        if self.chunk_size is None:
-            return core.matmul(a, b, rng=stream)
-        prefetch = None
-        depth = 0
-        if not sequential and self.parallel and self.pipeline_depth >= 1:
-            depth = self.pipeline_depth
-            prefetch = self._prefetch(index)
-        return pipelined_matmul(
-            core,
-            a,
-            b,
-            stream,
-            chunk_size=self.chunk_size,
-            pipeline_depth=depth,
-            prefetch=prefetch,
+                    return self._core_matmul(index, a, b, stream)
+        return chunked_matmul(
+            self.cores[index], a, b, stream, chunk_size=self.chunk_size
         )
 
     def _run_jobs(
@@ -486,174 +400,55 @@ class ShardedDPTC:
     ) -> list[np.ndarray]:
         """Execute ``(core_index, a, b, stream)`` jobs, results in job order."""
         if not self.parallel:
-            return [
-                self._core_matmul(index, a, b, stream, sequential=True, trace=trace)
-                for index, a, b, stream in jobs
-            ]
+            return [self._core_matmul(*job, trace=trace) for job in jobs]
         if self.backend == "process":
             if trace is not None:
-                # Spans cannot cross the process boundary; the parent's
-                # SAMPLE stage + dispatch is visible as one point event.
+                # Spans cannot cross the process boundary; the dispatch
+                # is visible as one point event.
                 trace[1].add_event(
                     "process_dispatch",
                     jobs=len(jobs),
                     cores=sorted({job[0] for job in jobs}),
                 )
             return self._run_jobs_process(jobs)
-
-        def run(job: tuple) -> np.ndarray:
-            index, a, b, stream = job
-            return self._core_matmul(index, a, b, stream, trace=trace)
-
-        return list(self._workers().map(run, jobs))
+        return list(
+            self._workers().map(lambda job: self._core_matmul(*job, trace=trace), jobs)
+        )
 
     def _run_jobs_process(self, jobs: list[tuple]) -> list[np.ndarray]:
-        """Process-backend execution with pre-drawn noise + shared memory.
+        """One job per core: operands by shared memory, the stream pickled.
 
-        The parent is the pipeline's SAMPLE stage: it consumes each
-        per-core stream chunk-by-chunk (exactly the order the chunked
-        thread/sequential paths consume it), packs operands and draw
-        arrays into one shared segment, and ships reference-only jobs.
-        All-zero chunks short-circuit parent-side — the worker never
-        sees them, matching the engine's draw-less zero fast path.
+        Every distinct operand is copied into one shared segment once
+        (dedupe by identity — a broadcast weight shared across cores
+        packs once) and jobs carry ``(offset, shape, dtype)`` specs.
+        Without ``multiprocessing.shared_memory`` the operands are
+        pickled into the jobs instead.
         """
-        raw: list[tuple[int, np.ndarray, np.ndarray, DPTCNoiseDraw | None]] = []
-        plan: list[list[tuple]] = []  # ("zeros", shape) | ("job", raw_index)
-        for index, a, b, stream in jobs:
-            entries: list[tuple] = []
-            if self.noise.is_ideal:
-                # Exact matmul: no draws, no chunk gain — one whole job.
-                entries.append(("job", len(raw)))
-                raw.append((index, a, b, None))
-                plan.append(entries)
-                continue
-            out_shape = DPTC._broadcast_out_shape(a.shape, b.shape)
-            batch = out_shape[:-2]
-            chunked = (
-                self.chunk_size is not None
-                and bool(batch)
-                and batch[0] > self.chunk_size
-            )
-            if not chunked:
-                draw = self.cores[index].predraw(a, b, stream)
-                if draw is None:
-                    entries.append(("zeros", out_shape))
-                else:
-                    entries.append(("job", len(raw)))
-                    raw.append((index, a, b, draw))
-                plan.append(entries)
-                continue
-            batch_rank = len(batch)
-            for start, stop in chunk_bounds(batch[0], self.chunk_size):
-                a_chunk = slice_batch_operand(a, batch_rank, start, stop)
-                b_chunk = slice_batch_operand(b, batch_rank, start, stop)
-                draw = self.cores[index].predraw(a_chunk, b_chunk, stream)
-                if draw is None:
-                    entries.append(("zeros", (stop - start,) + out_shape[1:]))
-                else:
-                    entries.append(("job", len(raw)))
-                    raw.append((index, a_chunk, b_chunk, draw))
-            plan.append(entries)
-
-        job_results: list[np.ndarray] = []
-        if raw:
-            packed_jobs, segment = self._pack_process_jobs(raw)
-            try:
-                job_results = list(
-                    self._workers().map(_process_worker_run, packed_jobs)
-                )
-            finally:
-                if segment is not None:
-                    release_segment(segment, unlink=True)
-
-        results = []
-        for entries in plan:
-            parts = [
-                np.zeros(payload) if tag == "zeros" else job_results[payload]
-                for tag, payload in entries
+        if _shm_module is None:
+            shipped = [
+                (None, index, a, b, stream, self.chunk_size)
+                for index, a, b, stream in jobs
             ]
-            results.append(
-                parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-            )
-        return results
-
-    def _pack_process_jobs(self, raw: list[tuple]) -> tuple[list[tuple], object]:
-        """Turn predrawn jobs into shipped jobs (+ the shared segment).
-
-        With shared memory enabled, every distinct operand/draw array is
-        copied into the segment exactly once (dedupe by identity — a
-        broadcast weight shared across cores packs once) and jobs carry
-        ``(offset, shape, dtype)`` specs; scalars ride along inline.
-        The fallback ships the arrays themselves (pickled), same job
-        shape, ``shm_name=None``.
-        """
-        if not self.shared_memory:
-            return [
-                (
-                    None,
-                    index,
-                    a,
-                    b,
-                    None if draw is None else (
-                        draw.magnitude_a,
-                        draw.magnitude_b,
-                        draw.phase_a,
-                        draw.phase_b,
-                        draw.systematic,
-                    ),
-                )
-                for index, a, b, draw in raw
-            ], None
+            return list(self._workers().map(_process_worker_run, shipped))
         arrays: list[np.ndarray] = []
-        slot_by_id: dict[int, int] = {}
-        staged: list[tuple] = []
+        slots: dict[int, int] = {}
 
-        def stage(x):
-            if isinstance(x, np.ndarray):
-                key = id(x)
-                if key not in slot_by_id:
-                    slot_by_id[key] = len(arrays)
-                    arrays.append(x)
-                return ("slot", slot_by_id[key])
-            return ("inline", x)
+        def slot(x: np.ndarray) -> int:
+            if id(x) not in slots:
+                slots[id(x)] = len(arrays)
+                arrays.append(x)
+            return slots[id(x)]
 
-        for index, a, b, draw in raw:
-            staged.append(
-                (
-                    index,
-                    stage(a),
-                    stage(b),
-                    None if draw is None else tuple(
-                        stage(component)
-                        for component in (
-                            draw.magnitude_a,
-                            draw.magnitude_b,
-                            draw.phase_a,
-                            draw.phase_b,
-                            draw.systematic,
-                        )
-                    ),
-                )
-            )
+        staged = [(index, slot(a), slot(b), stream) for index, a, b, stream in jobs]
         segment, specs = pack_arrays(arrays)
-
-        def resolve(ref):
-            tag, payload = ref
-            return specs[payload] if tag == "slot" else payload
-
-        packed = [
-            (
-                segment.name,
-                index,
-                resolve(a_ref),
-                resolve(b_ref),
-                None if draw_refs is None else tuple(
-                    resolve(ref) for ref in draw_refs
-                ),
-            )
-            for index, a_ref, b_ref, draw_refs in staged
-        ]
-        return packed, segment
+        try:
+            shipped = [
+                (segment.name, index, specs[a], specs[b], stream, self.chunk_size)
+                for index, a, b, stream in staged
+            ]
+            return list(self._workers().map(_process_worker_run, shipped))
+        finally:
+            release_segment(segment, unlink=True)
 
     def matmul(
         self,
@@ -696,10 +491,8 @@ class ShardedDPTC:
         stream: np.random.Generator | None,
         trace: tuple | None = None,
     ) -> np.ndarray:
-        """Whole problem on core 0 (chunk-pipelined in the parent)."""
-        return self._core_matmul(
-            0, a, b, stream, sequential=not self.parallel, trace=trace
-        )
+        """Whole problem on core 0, in the parent."""
+        return self._core_matmul(0, a, b, stream, trace=trace)
 
     def _matmul_batch(
         self,

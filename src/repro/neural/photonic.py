@@ -43,14 +43,10 @@ class PhotonicExecutor:
         backend: ``"thread"`` or ``"process"`` shard execution;
             bit-equal for equal seeds, process gives true parallelism
             on multi-CPU hosts.
-        chunk_size: when set, chunk each core's batched matmul along
-            the leading batch axis and pipeline the chunks (SAMPLE +
-            ENCODE of chunk ``k+1`` overlapping COMPUTE + DETECT of
-            chunk ``k``).  Bit-identical to sequential per-chunk
-            execution for equal seeds; ``None`` keeps the whole-batch
-            draw order.
-        pipeline_depth: chunks the prefetch stage may run ahead; 0
-            disables the overlap (same schedule, strictly sequential).
+        chunk_size: when set, run each core's batched matmul in chunks
+            along the leading batch axis, vectorised over groups of
+            chunks.  Bit-identical to sequential per-chunk execution
+            for equal seeds; ``None`` keeps the whole-batch draw order.
     """
 
     geometry: DPTCGeometry = field(default_factory=DPTCGeometry)
@@ -61,7 +57,6 @@ class PhotonicExecutor:
     shard_axis: str = "batch"
     backend: str = "thread"
     chunk_size: int | None = None
-    pipeline_depth: int = 1
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:
@@ -78,10 +73,6 @@ class PhotonicExecutor:
             raise ValueError(
                 f"chunk_size must be >= 1 or None, got {self.chunk_size}"
             )
-        if self.pipeline_depth < 0:
-            raise ValueError(
-                f"pipeline_depth must be >= 0, got {self.pipeline_depth}"
-            )
         if self.num_cores == 1 and self.chunk_size is None:
             # Degenerate grid: the plain batched engine (a ShardedDPTC
             # with one core computes the same thing through the same
@@ -95,7 +86,6 @@ class PhotonicExecutor:
                 shard_axis=self.shard_axis,
                 backend=self.backend,
                 chunk_size=self.chunk_size,
-                pipeline_depth=self.pipeline_depth,
             )
 
     def close(self) -> None:
@@ -118,7 +108,6 @@ class PhotonicExecutor:
         shard_axis: str = "batch",
         backend: str = "thread",
         chunk_size: int | None = None,
-        pipeline_depth: int = 1,
     ) -> "PhotonicExecutor":
         """Exact digital arithmetic (no quantization, no noise)."""
         return cls(
@@ -128,7 +117,6 @@ class PhotonicExecutor:
             shard_axis=shard_axis,
             backend=backend,
             chunk_size=chunk_size,
-            pipeline_depth=pipeline_depth,
         )
 
     @classmethod
@@ -145,7 +133,6 @@ class PhotonicExecutor:
         shard_axis: str = "batch",
         backend: str = "thread",
         chunk_size: int | None = None,
-        pipeline_depth: int = 1,
     ) -> "PhotonicExecutor":
         """Quantized execution with the paper's full noise model."""
         return cls(
@@ -156,7 +143,6 @@ class PhotonicExecutor:
             shard_axis=shard_axis,
             backend=backend,
             chunk_size=chunk_size,
-            pipeline_depth=pipeline_depth,
         )
 
     def matmul(self, a: Tensor, b: Tensor, weight_operand: int | None = None) -> Tensor:

@@ -10,8 +10,8 @@ complete span chain the subsystem promises:
     engine.iteration -> engine.batch -> shard.matmul -> shard.core
         -> stage.sample / stage.encode / stage.compute / stage.detect
 
-Everything is seeded and single-threaded (manual stepping,
-``pipeline_depth=0``), so the resulting span tree — ids, parents,
+Everything is seeded and single-threaded (manual stepping, one
+core), so the resulting span tree — ids, parents,
 virtual timestamps, event order — is a pure function of
 ``(seed, requests)`` and the JSONL dump is byte-identical across
 reruns: the determinism gate of ``benchmarks/bench_obs.py`` and the
@@ -61,7 +61,6 @@ class TracedMatmulServable(Servable):
             num_cores=num_cores,
             noise=NoiseModel.paper_default(),
             chunk_size=chunk_size,
-            pipeline_depth=0,
         )
         rng = np.random.default_rng(seed)
         self.weight = rng.uniform(-1.0, 1.0, (d, n))

@@ -20,15 +20,14 @@ Design rules that keep the layer big-but-safe:
   code.
 * **Caller-thread id assignment.**  Span ids are allocated sequentially
   under the tracer lock.  Single-threaded regimes (manual-mode engines,
-  ``pipeline_depth=0`` hot paths) therefore produce identical id
+  single-core hot paths) therefore produce identical id
   sequences on every run; the export layer additionally sorts by id, so
   dumps are stable wherever creation order is.
 * **Explicit parents cross threads.**  The ambient current span is a
   ``contextvars`` binding, which does not follow work onto pool
-  threads; instrumentation that fans out (sharded cores, prefetch
-  stages) captures the parent span on the caller thread and passes it
-  explicitly (``tracer.span(..., parent=span)`` or
-  :meth:`Tracer.activate`).
+  threads; instrumentation that fans out (sharded cores) captures the
+  parent span on the caller thread and passes it explicitly
+  (``tracer.span(..., parent=span)`` or :meth:`Tracer.activate`).
 """
 
 from __future__ import annotations

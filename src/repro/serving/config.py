@@ -79,10 +79,8 @@ class EngineConfig:
         num_cores: photonic cores the executor shards over.
         shard_axis: ``"batch"`` or ``"contraction"``.
         backend: ``"thread"`` or ``"process"`` executor pool.
-        chunk_size: hot-path pipelining chunk (stacks per chunk along
-            the leading batch axis); ``None`` disables chunking.
-        pipeline_depth: chunks the engine's prefetch stage may run
-            ahead of compute (0 = chunked but strictly sequential).
+        chunk_size: hot-path chunk (stacks per chunk along the
+            leading batch axis); ``None`` disables chunking.
         block_size: tokens per KV page.
         kv_capacity_bytes: KV :class:`~repro.serving.cache.BlockPool`
             byte budget (``None`` = unbounded).
@@ -99,7 +97,6 @@ class EngineConfig:
     shard_axis: str = "batch"
     backend: str = "thread"
     chunk_size: int | None = None
-    pipeline_depth: int = 1
     block_size: int = 1
     kv_capacity_bytes: int | None = None
     kv_bits: int = 8
@@ -133,10 +130,6 @@ class EngineConfig:
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(
                 f"chunk_size must be >= 1 or None, got {self.chunk_size}"
-            )
-        if self.pipeline_depth < 0:
-            raise ValueError(
-                f"pipeline_depth must be >= 0, got {self.pipeline_depth}"
             )
         if self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")

@@ -241,7 +241,6 @@ def decode_servable(
             shard_axis=engine.shard_axis,
             backend=engine.backend,
             chunk_size=engine.chunk_size,
-            pipeline_depth=engine.pipeline_depth,
         )
     if seed is None:
         seed = engine.seed if engine is not None else 0

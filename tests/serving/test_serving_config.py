@@ -50,7 +50,6 @@ class TestEngineConfigValidation:
             {"shard_axis": "diagonal"},
             {"backend": "quantum"},
             {"chunk_size": 0},
-            {"pipeline_depth": -1},
             {"block_size": 0},
             {"kv_capacity_bytes": -1},
             {"kv_bits": 0},
@@ -99,15 +98,17 @@ class TestEngineConfigRoundTrip:
         assert config.queue_depth == EngineConfig().queue_depth
 
     def test_hotpath_knobs_round_trip(self):
-        config = EngineConfig(chunk_size=8, pipeline_depth=2)
+        config = EngineConfig(chunk_size=8)
         data = config.to_dict()
-        assert data["chunk_size"] == 8 and data["pipeline_depth"] == 2
+        assert data["chunk_size"] == 8
         assert EngineConfig.from_dict(data) == config
 
     def test_hotpath_knobs_default_off(self):
         config = EngineConfig()
         assert config.chunk_size is None
-        assert config.pipeline_depth == 1
+        # The prefetch pipeline is gone; a stale config naming it is rejected.
+        with pytest.raises(ValueError, match="pipeline_depth"):
+            EngineConfig.from_dict({"pipeline_depth": 1})
 
 
 class TestClusterConfigValidation:

@@ -196,14 +196,14 @@ class TestHotpathBenchCommand:
         assert main([
             "hotpath-bench", "--batch", "8", "--m", "4", "--d", "12",
             "--n", "4", "--repeats", "1", "--chunk-size", "2",
-            "--pipeline-depth", "2", "--out", str(artifact),
+            "--out", str(artifact),
         ]) == 0
         import json
 
         report = json.loads(artifact.read_text())
         assert report["bit_identical"] is True
         assert report["chunk_size"] == 2
-        assert report["pipeline_depth"] == 2
+        assert report["grouped_speedup"] > 0.0
         assert set(report["stage_seconds"]) >= {
             "sample", "encode", "compute", "detect", "total"
         }
@@ -298,7 +298,7 @@ class TestHotpathKnobFlags:
         assert main([
             "serve-bench", "--model", "tiny-vit", "--requests", "4",
             "--max-batch-size", "4", "--users", "2", "--rounds", "1",
-            "--chunk-size", "2", "--pipeline-depth", "2",
+            "--chunk-size", "2",
         ]) == 0
         assert "requests" in capsys.readouterr().out
 
