@@ -49,6 +49,7 @@ uncapped cache is a slow memory leak.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -244,6 +245,11 @@ def _scale(x: np.ndarray, factor: np.ndarray | float) -> np.ndarray:
 #: traffic would grow an uncapped cache without bound.
 CHANNEL_CACHE_SIZE = 32
 
+#: Operand shape pairs whose validated output shape is memoized.  A
+#: model runs a handful of distinct shapes per forward; the bound keeps
+#: ragged traffic from growing the memo.
+SHAPE_CACHE_SIZE = 256
+
 
 class DPTC:
     """Functional (optionally noisy) executor for DPTC matrix multiplies.
@@ -296,6 +302,7 @@ class DPTC:
         return self.matmul(a, b, rng=rng)
 
     @staticmethod
+    @functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
     def _broadcast_out_shape(
         a_shape: tuple[int, ...], b_shape: tuple[int, ...]
     ) -> tuple[int, ...]:

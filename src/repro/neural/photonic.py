@@ -6,10 +6,17 @@ the DPTC analytics: every matrix multiplication of the network is
 of Eq. 9 in the forward pass, while gradients flow through the ideal
 product (a straight-through estimator — the standard approach for
 noise-aware training, as in the paper's artifact).
+
+Weights are *static* operands (the paper's split between weights and
+the runtime-quantized activations DPTC exists to serve): the executor
+quantizes each weight array once and reuses its grid while the array's
+contents are unchanged, see :class:`WeightGrids`.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +25,58 @@ from repro.core.dptc import DPTC, DPTCGeometry
 from repro.core.noise import NoiseModel
 from repro.core.sharding import BACKENDS, SHARD_AXES, ShardedDPTC
 from repro.neural.autograd import Tensor
-from repro.neural.quantization import QuantConfig, fake_quantize
+from repro.neural.quantization import QuantConfig, fake_quantize, straight_through
+
+WEIGHT_OPERANDS = (None, 0, 1)
+
+
+def _evict(grids_ref: weakref.ref, key: tuple[int, int], dead: weakref.ref) -> None:
+    """Drop the entry of a dead weight array, and only that entry: a newer
+    one under the same key holds its own ref."""
+    grids = grids_ref()
+    if grids is not None and grids._entries.get(key, (None,))[0] is dead:
+        del grids._entries[key]
+
+
+class WeightGrids:
+    """Per-matrix quantized grids of static weights, one per (array, bits).
+
+    An entry is keyed by the weight's ndarray (by identity, never its
+    ``Tensor`` wrapper, which callers may rebuild on every call) and is
+    served only while the array's shape and bytes equal the snapshot
+    taken when it was quantized, so in-place writes are always seen.
+    Each array is held through a ``weakref`` whose callback drops its
+    own entry, so rebinding ``param.data`` never grows the cache.  A
+    miss goes through :func:`fake_quantize`; cached grids are read-only.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple[int, int], tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def quantize(self, weight: Tensor, bits: int) -> Tensor:
+        """``weight`` on its ``bits`` grid, straight-through to ``weight``."""
+        data = weight.data
+        key = (id(data), bits)
+        entry = self._entries.get(key)
+        if entry is not None:
+            ref, shape, snapshot, grid = entry
+            if ref() is data and shape == data.shape and snapshot == data.tobytes():
+                return straight_through(weight, grid)
+        quantized = fake_quantize(weight, bits, per_matrix=True)
+        quantized.data.flags.writeable = False
+        # The eviction callback holds the cache weakly: no reference
+        # cycle, so a dropped executor frees its grids at once.
+        evict = functools.partial(_evict, weakref.ref(self), key)
+        self._entries[key] = (
+            weakref.ref(data, evict),
+            data.shape,
+            data.tobytes(),
+            quantized.data,
+        )
+        return quantized
 
 
 @dataclass
@@ -87,6 +145,7 @@ class PhotonicExecutor:
                 backend=self.backend,
                 chunk_size=self.chunk_size,
             )
+        self.weight_grids = WeightGrids()
 
     def close(self) -> None:
         """Release the sharded engine's worker pool (no-op single-core)."""
@@ -154,27 +213,35 @@ class PhotonicExecutor:
                 ``[batch, heads, tokens, dim]`` attention stack — or a
                 2-D weight against 3-D activations — runs in one
                 batched photonic call.
-            weight_operand: 0 or 1 if one operand is a weight matrix
-                (quantized at ``quant.weight_bits``); activations use
-                ``quant.activation_bits``.
+            weight_operand: which operand is a static weight matrix: 0
+                (``a``), 1 (``b``) or ``None`` (both are activations).  A
+                weight is quantized at ``quant.weight_bits`` once per
+                array and its grid reused while the array's contents are
+                unchanged (see :class:`WeightGrids`); activations are
+                quantized on every call at ``quant.activation_bits``.
+
+        Raises:
+            ValueError: ``weight_operand`` is not one of ``None``, 0, 1.
         """
+        if weight_operand not in WEIGHT_OPERANDS:
+            raise ValueError(
+                f"weight_operand must be one of {WEIGHT_OPERANDS}, "
+                f"got {weight_operand!r}"
+            )
         if self.quant is not None:
-            bits_a = (
-                self.quant.weight_bits
-                if weight_operand == 0
-                else self.quant.activation_bits
-            )
-            bits_b = (
-                self.quant.weight_bits
-                if weight_operand == 1
-                else self.quant.activation_bits
-            )
             # Per-matrix scales: each [m, d] slice of a stacked operand
             # gets its own grid (like the DPTC's per-matrix beta), so
             # batched execution quantizes each sample exactly as the
             # per-sample path would — no cross-batch scale coupling.
-            a = fake_quantize(a, bits_a, per_matrix=True)
-            b = fake_quantize(b, bits_b, per_matrix=True)
+            bits = self.quant.weight_bits
+            if weight_operand == 0:
+                a = self.weight_grids.quantize(a, bits)
+            else:
+                a = fake_quantize(a, self.quant.activation_bits, per_matrix=True)
+            if weight_operand == 1:
+                b = self.weight_grids.quantize(b, bits)
+            else:
+                b = fake_quantize(b, self.quant.activation_bits, per_matrix=True)
 
         out_data = self._execute(a.data, b.data)
 

@@ -16,6 +16,8 @@ import numpy as np
 
 from repro.neural.autograd import Tensor
 
+_TINY = np.finfo(float).tiny  #: smallest normal float; a smaller max-abs has no grid
+
 
 @dataclass(frozen=True)
 class QuantConfig:
@@ -51,6 +53,7 @@ def quantize_array(
 
     Values are snapped to ``scale * {-(2^(b-1)-1), ..., 2^(b-1)-1}``.
     A zero tensor (or, per-matrix, a zero slice) is returned unchanged.
+    The result is always a new array; ``values`` is never written.
 
     Args:
         values: array of any rank.
@@ -71,40 +74,45 @@ def quantize_array(
     # the scale into 0 and the grid into inf/nan — zero and sub-tiny
     # inputs are returned unchanged instead, identically on both paths
     # (so per-matrix slices still quantize exactly like per-sample
-    # calls on the same slice).
-    # The snap chain (divide, round, clip, rescale) runs through one
-    # reused buffer — each ufunc writes over the previous result, which
-    # is bit-identical to the chained temporaries and allocates once.
-    tiny = np.finfo(float).tiny
+    # calls on the same slice).  The |values| buffer is reused for the
+    # whole snap (divide, round, clip, rescale): one allocation per call.
+    snapped = np.abs(values)
+    degenerate = None
     if per_matrix and values.ndim > 2:
-        max_abs = np.max(np.abs(values), axis=(-2, -1), keepdims=True)
-        degenerate = max_abs < tiny
-        scale = np.where(degenerate, 1.0, max_abs) / levels
-        snapped = values / scale
-        np.round(snapped, out=snapped)
-        np.clip(snapped, -levels, levels, out=snapped)
-        snapped *= scale
-        return np.where(degenerate, values, snapped)
-    max_abs = np.max(np.abs(values))
-    if max_abs < tiny:
-        return values.copy()
+        max_abs = np.maximum.reduce(snapped, axis=(-2, -1), keepdims=True)
+        if (max_abs < _TINY).any():
+            degenerate = max_abs < _TINY
+            max_abs = np.where(degenerate, 1.0, max_abs)
+    else:
+        max_abs = np.maximum.reduce(snapped, axis=None)
+        if max_abs < _TINY:
+            return values.copy()
     scale = max_abs / levels
-    snapped = values / scale
-    np.round(snapped, out=snapped)
-    np.clip(snapped, -levels, levels, out=snapped)
+    np.divide(values, scale, out=snapped)
+    np.rint(snapped, out=snapped)
+    np.minimum(snapped, levels, out=snapped)
+    np.maximum(snapped, -levels, out=snapped)
     snapped *= scale
+    if degenerate is not None:
+        return np.where(degenerate, values, snapped)
     return snapped
 
 
-def fake_quantize(tensor: Tensor, bits: int, per_matrix: bool = False) -> Tensor:
-    """Quantize in the forward pass, straight-through in the backward."""
-    quantized = quantize_array(tensor.data, bits, per_matrix=per_matrix)
+def straight_through(tensor: Tensor, quantized: np.ndarray) -> Tensor:
+    """``quantized`` in the forward pass, the identity in the backward."""
 
     def backward(grad: np.ndarray) -> None:
         if tensor.requires_grad:
             tensor.accumulate_grad(grad)
 
     return Tensor.make(quantized, (tensor,), backward)
+
+
+def fake_quantize(tensor: Tensor, bits: int, per_matrix: bool = False) -> Tensor:
+    """Quantize in the forward pass, straight-through in the backward."""
+    return straight_through(
+        tensor, quantize_array(tensor.data, bits, per_matrix=per_matrix)
+    )
 
 
 def quantization_error(

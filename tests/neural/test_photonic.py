@@ -1,11 +1,18 @@
 """Tests for the photonic matmul executor (quantization + noise + STE)."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import DPTCGeometry, NoiseModel
-from repro.neural import PhotonicExecutor, QuantConfig, Tensor
-from repro.neural.quantization import quantize_array
+from repro.neural import Adam, Linear, PhotonicExecutor, QuantConfig, Tensor, no_grad
+from repro.neural.quantization import fake_quantize, quantize_array
+from repro.serving import DecodeServable, InferenceRequest, RequestHandle
+from repro.workloads import DecoderConfig
 
 
 @pytest.fixture
@@ -179,6 +186,173 @@ class TestDigitalReference:
         out = executor.matmul(Tensor(a), Tensor(b), weight_operand=1)
         expected = quantize_array(a, 4) @ quantize_array(b, 8)
         assert np.allclose(out.data, expected)
+
+    @pytest.mark.parametrize("weight_operand", [2, -1, "b"])
+    def test_unknown_weight_operand_rejected(self, rng, weight_operand):
+        executor = PhotonicExecutor.digital_reference()
+        a, b = Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(6, 4)))
+        with pytest.raises(ValueError, match="weight_operand"):
+            executor.matmul(a, b, weight_operand=weight_operand)
+
+
+def engine_operands(executor):
+    """Record the (quantized) operand arrays each call hands the engine."""
+    seen = []
+    execute = executor._execute
+
+    def spy(a, b):
+        seen.append((a, b))
+        return execute(a, b)
+
+    executor._execute = spy
+    return seen
+
+
+class TestWeightGrids:
+    """A static weight is quantized once per array and reused while the
+    array's contents are unchanged."""
+
+    @pytest.mark.parametrize("weight_operand", [0, 1])
+    def test_cached_grid_equals_fake_quantize(self, rng, weight_operand):
+        executor = PhotonicExecutor.digital_reference(QuantConfig(8, 4))
+        weight = rng.normal(size=(6, 6))
+        seen = engine_operands(executor)
+        for _ in range(3):
+            activation = Tensor(rng.normal(size=(2, 6, 6)))
+            operands = [activation, Tensor(weight)]
+            if weight_operand == 0:
+                operands.reverse()
+            executor.matmul(*operands, weight_operand=weight_operand)
+        expected = fake_quantize(Tensor(weight), 8, per_matrix=True).data
+        grids = [operands[weight_operand] for operands in seen]
+        assert grids[1] is grids[0] and grids[2] is grids[0]
+        assert grids[0].tobytes() == expected.tobytes()
+        assert len(executor.weight_grids) == 1
+
+    def test_in_place_write_is_seen(self, rng):
+        executor = PhotonicExecutor.digital_reference()
+        weight = Tensor(rng.normal(size=(6, 4)))
+        x = Tensor(rng.normal(size=(3, 6)))
+        seen = engine_operands(executor)
+        executor.matmul(x, weight, weight_operand=1)
+        weight.data[0, 0] = 10.0
+        written = weight.data.copy()
+        executor.matmul(x, weight, weight_operand=1)
+        weight.data[:] = 0.0
+        executor.matmul(x, weight, weight_operand=1)
+        assert seen[1][1].tobytes() == quantize_array(written, 4).tobytes()
+        assert not seen[2][1].any()
+        assert len(executor.weight_grids) == 1
+
+    def test_changed_bits_not_served_from_old_grid(self, rng):
+        executor = PhotonicExecutor.digital_reference(QuantConfig(4, 4))
+        weight = Tensor(rng.normal(size=(6, 4)))
+        x = Tensor(rng.normal(size=(3, 6)))
+        seen = engine_operands(executor)
+        executor.matmul(x, weight, weight_operand=1)
+        executor.quant = QuantConfig(8, 4)
+        executor.matmul(x, weight, weight_operand=1)
+        assert np.array_equal(seen[0][1], quantize_array(weight.data, 4))
+        assert np.array_equal(seen[1][1], quantize_array(weight.data, 8))
+
+    def test_adam_steps_keep_one_entry_per_live_weight(self, rng):
+        executor = PhotonicExecutor.digital_reference()
+        layers = [Linear(6, 8, executor, rng=rng), Linear(8, 2, executor, rng=rng)]
+        optimizer = Adam([p for layer in layers for p in layer.parameters()])
+        x = Tensor(rng.normal(size=(5, 6)))
+        for _ in range(20):
+            optimizer.zero_grad()
+            out = layers[1](layers[0](x))
+            assert len(executor.weight_grids) == len(layers)
+            (out * out).sum().backward()
+            optimizer.step()
+            # Adam rebinds `param.data`; the replaced arrays' grids go too.
+            assert len(executor.weight_grids) == 0
+        with no_grad():
+            seen = engine_operands(executor)
+            layers[1](layers[0](x))
+        for layer, (_, grid) in zip(layers, seen):
+            assert np.array_equal(grid, quantize_array(layer.weight.data, 4))
+
+    def test_decode_servable_keeps_one_entry_per_projection(self, rng):
+        servable = DecodeServable(DecoderConfig("toy", depth=2, dim=16, heads=2))
+        for i in range(50):
+            request = InferenceRequest(
+                payload=rng.normal(size=16),
+                handle=RequestHandle(i, 0.0),
+                arrival=0.0,
+                session_id=f"s{i % 3}",
+                request_id=i,
+            )
+            servable.execute([request])
+        assert len(servable.executor.weight_grids) == 4
+
+    def test_dropped_executor_frees_its_grids_without_gc(self, rng):
+        weight = Tensor(rng.normal(size=(6, 4)))  # outlives the executor
+        executor = PhotonicExecutor.digital_reference()
+        grid = weakref.ref(executor.weight_grids.quantize(weight, 4).data)
+        gc.disable()
+        try:
+            del executor
+            assert grid() is None
+        finally:
+            gc.enable()
+
+    def test_gradients_reach_the_weight(self, rng):
+        executor = PhotonicExecutor.digital_reference()
+        weight = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        x = rng.normal(size=(3, 6))
+        for _ in range(2):  # miss, then hit
+            weight.zero_grad()
+            executor.matmul(Tensor(x), weight, weight_operand=1).sum().backward()
+            expected = quantize_array(x, 4).T @ np.ones((3, 4))
+            assert np.allclose(weight.grad, expected)
+
+    def test_concurrent_callers_get_fresh_grids(self, rng):
+        """Threads sharing one executor, some wrapping short-lived copies
+        (evicted mid-run), each get exactly the serial result."""
+        executor = PhotonicExecutor.digital_reference()
+        weights = [rng.normal(size=(6, 4)) for _ in range(3)]
+        x = rng.normal(size=(3, 6))
+        expected = [
+            PhotonicExecutor.digital_reference()
+            .matmul(Tensor(x), Tensor(w), weight_operand=1)
+            .data.tobytes()
+            for w in weights
+        ]
+        wrong = []
+
+        def caller(index: int) -> None:
+            for k in range(150):
+                which = (index + k) % len(weights)
+                w = weights[which] if index % 2 else weights[which].copy()
+                out = executor.matmul(Tensor(x), Tensor(w), weight_operand=1)
+                if out.data.tobytes() != expected[which]:
+                    wrong.append((index, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(executor.weight_grids) == len(weights)  # the copies are gone
+
+    def test_grid_is_read_only(self, rng):
+        executor = PhotonicExecutor.digital_reference()
+        weight = Tensor(rng.normal(size=(6, 4)))
+        seen = engine_operands(executor)
+        for _ in range(2):
+            executor.matmul(Tensor(rng.normal(size=(3, 6))), weight, weight_operand=1)
+        for _, grid in seen:
+            with pytest.raises(ValueError):
+                grid[0, 0] = 1.0
 
 
 class TestNoisyExecutor:

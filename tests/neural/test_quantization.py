@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -14,6 +14,88 @@ from repro.neural import (
     quantization_levels,
     quantize_array,
 )
+
+
+def reference_quantize_array(
+    values: np.ndarray, bits: int, per_matrix: bool = False
+) -> np.ndarray:
+    """The chained quantizer the one-pass ``quantize_array`` replaced.
+
+    Kept verbatim as the oracle: the fast path must match it bit for bit.
+    """
+    values = np.asarray(values, dtype=float)
+    levels = quantization_levels(bits)
+    if not values.size:
+        return values.copy()
+    tiny = np.finfo(float).tiny
+    if per_matrix and values.ndim > 2:
+        max_abs = np.max(np.abs(values), axis=(-2, -1), keepdims=True)
+        degenerate = max_abs < tiny
+        scale = np.where(degenerate, 1.0, max_abs) / levels
+        snapped = values / scale
+        np.round(snapped, out=snapped)
+        np.clip(snapped, -levels, levels, out=snapped)
+        snapped *= scale
+        return np.where(degenerate, values, snapped)
+    max_abs = np.max(np.abs(values))
+    if max_abs < tiny:
+        return values.copy()
+    scale = max_abs / levels
+    snapped = values / scale
+    np.round(snapped, out=snapped)
+    np.clip(snapped, -levels, levels, out=snapped)
+    snapped *= scale
+    return snapped
+
+
+#: Per-slice magnitudes: zero, subnormal, tiny normal, unit, huge.
+SLICE_SCALES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 3.7, 1e300)
+
+
+@st.composite
+def stacked_values(draw):
+    """Rank 1-4 arrays whose trailing slices each get their own magnitude,
+    so zero, subnormal and huge slices sit beside ordinary ones."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=5))
+    base = draw(
+        hnp.arrays(
+            float,
+            shape,
+            elements=st.one_of(
+                st.floats(-1.0, 1.0),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 0.5, -0.5]),
+            ),
+        )
+    )
+    slices = shape[:-2] + (1, 1) if len(shape) > 2 else ()
+    scales = draw(hnp.arrays(float, slices, elements=st.sampled_from(SLICE_SCALES)))
+    with np.errstate(over="ignore", under="ignore"):
+        values = base * scales
+    biggest = np.finfo(float).max
+    return np.nan_to_num(values, posinf=biggest, neginf=-biggest)
+
+
+class TestQuantizeArrayOracle:
+    """The one-pass quantizer is bit-identical to the chained reference."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        values=stacked_values(),
+        bits=st.integers(min_value=2, max_value=8),
+        per_matrix=st.booleans(),
+    )
+    def test_bit_identical_to_reference(self, values, bits, per_matrix):
+        before = values.copy()
+        with np.errstate(all="ignore"):  # near-max slices overflow both alike
+            expected = reference_quantize_array(values, bits, per_matrix=per_matrix)
+            actual = quantize_array(values, bits, per_matrix=per_matrix)
+        assert actual.dtype == expected.dtype
+        assert actual.shape == expected.shape
+        assert np.array_equal(actual, expected)
+        assert actual.tobytes() == expected.tobytes()  # signed zeros too
+        assert values.tobytes() == before.tobytes()
+        assert not np.shares_memory(actual, values)
 
 
 class TestQuantConfig:
